@@ -173,7 +173,7 @@ def alg1_abft_grid(shape: ProblemShape, P: int) -> Optional[ProcessorGrid]:
         return None
     try:
         choice = select_grid(shape, P)
-    except Exception:
+    except GridError:
         return None
     g = choice.grid
     if not (g.p1 <= shape.n1 and g.p2 <= shape.n2 and g.p3 <= shape.n3):

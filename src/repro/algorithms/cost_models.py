@@ -30,7 +30,9 @@ __all__ = [
     "alg1_cost_terms",
     "alg1_latency_rounds",
     "alg1_memory_words",
+    "alg1_objective",
     "alg1_time",
+    "expression3_terms",
 ]
 
 
@@ -74,20 +76,44 @@ class Alg1CostBreakdown:
         )
 
 
+def expression3_terms(n1, n2, n3, p1, p2, p3):
+    """Expression (3)'s three collective terms, in breakdown order.
+
+    The one source of the formula: :func:`alg1_cost_terms` evaluates it on
+    Python ints, and the grid picker on int64 arrays of whole factor-triple
+    lists.  The two agree bit for bit wherever every numerator
+    ``n_a n_b (p - 1)`` is below ``2**53``: both operands of the first
+    division are then exact in float64, so IEEE division equals Python's
+    correctly rounded ``int / int``, and the remaining operations are the
+    same float64 operations in the same order.
+    """
+    return (
+        _exact_fraction(n1 * n2, p3) / (p1 * p2),
+        _exact_fraction(n2 * n3, p1) / (p2 * p3),
+        _exact_fraction(n1 * n3, p2) / (p1 * p3),
+    )
+
+
+def alg1_objective(n1, n2, n3, p1, p2, p3, rounds, alpha, beta):
+    """``alpha * rounds + beta * words`` with ``words`` = expression (3).
+
+    The words are summed in :attr:`Alg1CostBreakdown.total` order.  Runs
+    on Python ints and int64 arrays alike (see :func:`expression3_terms`
+    for when the two agree bit for bit).
+    """
+    a, b, c = expression3_terms(n1, n2, n3, p1, p2, p3)
+    return alpha * rounds + beta * (a + b + c)
+
+
 def alg1_cost_terms(shape: ProblemShape, grid: ProcessorGrid) -> Alg1CostBreakdown:
     """Expression (3)'s three collective terms for ``shape`` on ``grid``.
 
     Works for any grid (divisibility is only needed by the executable
     algorithm, not the formula).
     """
-    p1, p2, p3 = grid.dims
-    n1, n2, n3 = shape.dims
+    a, b, c = expression3_terms(*shape.dims, *grid.dims)
     return Alg1CostBreakdown(
-        shape=shape,
-        grid=grid,
-        allgather_a=_exact_fraction(n1 * n2, p3) / (p1 * p2),
-        allgather_b=_exact_fraction(n2 * n3, p1) / (p2 * p3),
-        reduce_scatter_c=_exact_fraction(n1 * n3, p2) / (p1 * p3),
+        shape=shape, grid=grid, allgather_a=a, allgather_b=b, reduce_scatter_c=c,
     )
 
 
@@ -142,9 +168,16 @@ def alg1_time(
     larger bandwidth for far fewer messages (relevant for small problems
     on high-latency networks, per the Section 3.1 discussion).
     """
+    _check_time_weights(alpha, beta)
+    return alg1_objective(
+        *shape.dims, *grid.dims, alg1_latency_rounds(shape, grid), alpha, beta
+    )
+
+
+def _check_time_weights(alpha: float, beta: float) -> None:
+    """Refuse negative ``alpha``/``beta`` with a :class:`GridError`."""
     if alpha < 0 or beta < 0:
         raise GridError(f"alpha and beta must be non-negative, got {alpha}, {beta}")
-    return alpha * alg1_latency_rounds(shape, grid) + beta * alg1_cost(shape, grid)
 
 
 def alg1_memory_words(shape: ProblemShape, grid: ProcessorGrid) -> float:

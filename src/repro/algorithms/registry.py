@@ -18,7 +18,7 @@ import numpy as np
 
 from ..collectives.schedules import is_power_of_two
 from ..core.shapes import ProblemShape
-from ..exceptions import InvalidProblemError, ShapeError
+from ..exceptions import GridError, InvalidProblemError, ShapeError
 from ..machine.backend import SymbolicBlock, is_symbolic, resolve_backend
 from ..machine.cost import Cost
 from ..machine.semiring import Semiring, resolve_semiring
@@ -120,7 +120,7 @@ def _run_alg1_optimal(
 def _alg1_applicable(shape: ProblemShape, P: int) -> bool:
     try:
         choice = select_grid(shape, P)
-    except Exception:
+    except GridError:
         return False
     g = choice.grid
     return g.p1 <= shape.n1 and g.p2 <= shape.n2 and g.p3 <= shape.n3

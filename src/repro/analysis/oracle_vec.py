@@ -830,8 +830,8 @@ def _normalize_batch(shapes, P) -> Tuple[np.ndarray, np.ndarray]:
         if isinstance(seq, list) and seq and isinstance(seq[0], ProblemShape):
             seq = [s.dims for s in seq]
         dims = np.asarray(seq, dtype=np.int64)
-        if dims.ndim == 1:
-            dims = dims.reshape(1, 3)
+        if dims.ndim == 1 and dims.size in (0, 3):
+            dims = dims.reshape(-1, 3)
     if dims.ndim != 2 or dims.shape[1] != 3:
         raise ShapeError(f"expected (N, 3) dimensions, got shape {dims.shape}")
     Parr = np.atleast_1d(np.asarray(P, dtype=np.int64))

@@ -70,3 +70,37 @@ class TestRuns:
         A, B = rng.random((8, 8)), rng.random((8, 8))
         run = run_algorithm("c25d", A, B, 8)  # 2x2x2 possible
         assert run.config == "grid 2x2x2"
+
+
+class TestPickerDefectsPropagate:
+    """A bug in the grid picker must surface, not read as "not applicable"."""
+
+    @pytest.fixture
+    def broken_picker(self, monkeypatch):
+        from repro.algorithms import abft, registry
+
+        def boom(shape, P, *args, **kwargs):
+            raise RuntimeError("picker defect")
+
+        monkeypatch.setattr(registry, "select_grid", boom)
+        monkeypatch.setattr(abft, "select_grid", boom)
+
+    def test_alg1_applicability(self, broken_picker):
+        with pytest.raises(RuntimeError, match="picker defect"):
+            REGISTRY["alg1"].applicable(ProblemShape(16, 16, 16), 8)
+
+    def test_alg1_abft_grid(self, broken_picker):
+        from repro.algorithms.abft import alg1_abft_grid
+
+        with pytest.raises(RuntimeError, match="picker defect"):
+            alg1_abft_grid(ProblemShape(16, 16, 16), 8)
+
+    def test_applicable_algorithms(self, broken_picker):
+        with pytest.raises(RuntimeError, match="picker defect"):
+            applicable_algorithms(ProblemShape(16, 16, 16), 8)
+
+    def test_grid_refusal_still_means_not_applicable(self):
+        from repro.algorithms.abft import alg1_abft_grid
+
+        assert not REGISTRY["alg1"].applicable(ProblemShape(16, 16, 16), 0)
+        assert alg1_abft_grid(ProblemShape(16, 16, 16), 2.5) is None

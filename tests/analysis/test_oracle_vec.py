@@ -222,6 +222,17 @@ class TestBatchInterface:
         with pytest.raises(OracleUnsupportedError):
             batch.prediction(0)
 
+    @pytest.mark.parametrize("name", sorted(ORACLE_ALGORITHMS))
+    def test_empty_batch_is_empty(self, name):
+        batch = predict_batch(name, [], [])
+        assert len(batch) == 0
+        assert batch.dims.shape == (0, 3)
+        assert batch.configs == []
+
+    def test_two_dims_raise_typed(self):
+        with pytest.raises(ShapeError):
+            predict_batch("alg1", (8, 8), 4)
+
     def test_length_mismatch_raises(self):
         with pytest.raises(ShapeError, match="mismatch"):
             predict_batch("alg1", [(8, 8, 8), (4, 4, 4)], [1, 2, 3])
